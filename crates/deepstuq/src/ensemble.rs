@@ -128,6 +128,29 @@ mod tests {
     }
 
     #[test]
+    fn forecast_golden_bits() {
+        // Hashes recorded before the sampling paths were folded together.
+        let (ds, base, cfg) = setup();
+        let ens = DeepEnsemble::train(&base, &ds, &cfg, 3, 61);
+        let starts = ds.window_starts(stuq_traffic::Split::Test);
+        let run = || {
+            let mut rng = StuqRng::new(5);
+            let fs: Vec<_> =
+                starts[..2].iter().map(|&s| ens.forecast(&ds.window(s).x, &mut rng)).collect();
+            crate::mc::bits_hash(
+                fs.iter().flat_map(|f| [&f.mu, &f.var_aleatoric, &f.var_epistemic]),
+            )
+        };
+        let par = run();
+        let ser = stuq_parallel::with_serial(run);
+        assert_eq!(
+            (par, ser),
+            (0x197fb06c21512e63, 0x197fb06c21512e63),
+            "DeepEnsemble::forecast bits moved"
+        );
+    }
+
+    #[test]
     fn memory_cost_scales_with_members() {
         let (ds, base, cfg) = setup();
         let e1 = DeepEnsemble::train(&base, &ds, &cfg, 1, 61);

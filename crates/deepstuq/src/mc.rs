@@ -488,6 +488,23 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
     reduce_samples(samples, shape)
 }
 
+/// FNV-1a over the shapes and `f32` bit patterns of `tensors`, in order:
+/// the golden-bit tests pin forecasts with it.
+#[cfg(test)]
+pub(crate) fn bits_hash<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for t in tensors {
+        t.shape().iter().for_each(|&d| eat(d as u64));
+        t.data().iter().for_each(|v| eat(v.to_bits() as u64));
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,5 +842,30 @@ mod tests {
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
         let f = ensemble_forecast(&mut model, &[snap.clone(), snap], &x, &mut rng);
         assert!(f.var_epistemic.max() < 1e-10);
+    }
+
+    #[test]
+    fn ensemble_forecast_golden_bits() {
+        // Three Gaussian-head snapshots from independent initialisations; the
+        // hash was recorded before the sampling paths were folded together.
+        let snaps: Vec<Vec<Tensor>> = (0..3)
+            .map(|s| model_with_dropout(HeadKind::Gaussian, 0.3, &mut StuqRng::new(60 + s)))
+            .map(|m| m.params().snapshot())
+            .collect();
+        let mut model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut StuqRng::new(59));
+        let x = Tensor::randn(&[6, 5], 1.0, &mut StuqRng::new(61));
+        let mut run = || {
+            let f = ensemble_forecast(&mut model, &snaps, &x, &mut StuqRng::new(62));
+            bits_hash([&f.mu, &f.var_aleatoric, &f.var_epistemic])
+        };
+        let par = run();
+        let ser = stuq_parallel::with_serial(&mut run);
+        assert_eq!(
+            (par, ser),
+            (0x8a241b2c215c5bb3, 0x8a241b2c215c5bb3),
+            "ensemble_forecast bits moved"
+        );
+        let held = bits_hash(&model.params().snapshot());
+        assert_eq!(held, bits_hash(&snaps[2]), "model must hold the last snapshot");
     }
 }

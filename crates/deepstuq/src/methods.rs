@@ -560,6 +560,44 @@ mod tests {
     }
 
     #[test]
+    fn forecast_golden_bits_for_every_method() {
+        // One hash per method over (mu, sigma, bounds) for two test windows,
+        // recorded before the per-method sampling arms were folded together.
+        let golden: [(Method, u64); 11] = [
+            (Method::Point, 0xb9b7c4180024880e),
+            (Method::Quantile, 0x1576b2c1439d5874),
+            (Method::Mve, 0xdf2bfd2c83a33155),
+            (Method::Mcdo, 0x14f2ffaaf7756a9a),
+            (Method::Combined, 0x815c01161f4d3e13),
+            (Method::Ts, 0x372d5152b5a56fa4),
+            (Method::Fge, 0x33600dcb376419d4),
+            (Method::Conformal, 0xfd5af4e5e3e969bc),
+            (Method::Cfrnn, 0xe1294f22de6e145e),
+            (Method::DeepStuqS, 0xabfa1d92298103ce),
+            (Method::DeepStuq, 0x990f78dace014938),
+        ];
+        let ds = tiny_ds(48);
+        let starts = ds.window_starts(Split::Test);
+        let got: Vec<(Method, u64)> = golden
+            .iter()
+            .map(|&(m, _)| {
+                let cfg = MethodConfig::fast(ds.n_nodes(), 1, 8);
+                let mut tm = TrainedMethod::train(m, &ds, cfg, 48);
+                let fs: Vec<RawForecast> = starts[..2]
+                    .iter()
+                    .map(|&s| tm.forecast(&ds.window(s).x, ds.scaler()))
+                    .collect();
+                let tensors = fs.iter().flat_map(|f| {
+                    let bounds = f.bounds.as_ref().map(|(lo, hi)| [lo, hi]);
+                    std::iter::once(&f.mu).chain(&f.sigma).chain(bounds.into_iter().flatten())
+                });
+                (m, crate::mc::bits_hash(tensors))
+            })
+            .collect();
+        assert_eq!(got, golden, "TrainedMethod::forecast bits moved");
+    }
+
+    #[test]
     fn deepstuq_full_beats_its_own_interval_sanity() {
         let ds = tiny_ds(47);
         let cfg = MethodConfig::fast(ds.n_nodes(), 1, 8);
