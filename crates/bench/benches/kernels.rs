@@ -125,12 +125,12 @@ fn bench_agcrn() {
     }));
     let mc_par = bench_with("mc_inference_10_n50 (parallel)", 0.5, 20, || {
         let mut rng = StuqRng::new(9);
-        black_box(deepstuq::mc::mc_forecast(&model, &x, 10, &mut rng))
+        black_box(deepstuq::mc::mc_forecast(&model, &x, None, 10, &mut rng))
     });
     let mc_ser = bench_with("mc_inference_10_n50 (1 thread)", 0.5, 20, || {
         let mut rng = StuqRng::new(9);
         stuq_parallel::with_serial(|| {
-            black_box(deepstuq::mc::mc_forecast(&model, &x, 10, &mut rng))
+            black_box(deepstuq::mc::mc_forecast(&model, &x, None, 10, &mut rng))
         })
     });
     show(&mc_par);

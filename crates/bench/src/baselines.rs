@@ -85,7 +85,7 @@ pub fn train_and_eval_baseline(
     let scaler = *ds.scaler();
     let mut eval_rng = rng.fork(0xEA1);
     evaluate(ds, Split::Test, eval_stride, |x, _| {
-        let f = mc_forecast(model.as_ref(), x, 1, &mut eval_rng);
+        let f = mc_forecast(model.as_ref(), x, None, 1, &mut eval_rng);
         RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: None, bounds: None }
     })
 }

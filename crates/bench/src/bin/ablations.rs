@@ -61,8 +61,11 @@ fn main() {
         train(&mut model, &ds, &cfg, LossKind::Combined { lambda }, &mut rng)
             .expect("training failed");
         let mut mc_rng = rng.fork(1);
-        let (mae, mnll, picp, mpiw) =
-            eval_gaussian(|x| mc_forecast(&model, x, mcfg.mc_samples, &mut mc_rng), &ds, stride);
+        let (mae, mnll, picp, mpiw) = eval_gaussian(
+            |x| mc_forecast(&model, x, None, mcfg.mc_samples, &mut mc_rng),
+            &ds,
+            stride,
+        );
         rows.push(vec![format!("{lambda}"), fmt2(mae), fmt2(mnll), fmt2(picp), fmt2(mpiw)]);
     }
     let header = ["lambda", "MAE", "MNLL", "PICP(%)", "MPIW"];
@@ -87,8 +90,11 @@ fn main() {
         )
         .expect("training failed");
         let mut mc_rng = rng.fork(1);
-        let (mae, mnll, picp, mpiw) =
-            eval_gaussian(|x| mc_forecast(&model, x, mcfg.mc_samples, &mut mc_rng), &ds, stride);
+        let (mae, mnll, picp, mpiw) = eval_gaussian(
+            |x| mc_forecast(&model, x, None, mcfg.mc_samples, &mut mc_rng),
+            &ds,
+            stride,
+        );
         rows.push(vec![format!("{p}"), fmt2(mae), fmt2(mnll), fmt2(picp), fmt2(mpiw)]);
     }
     let header = ["encoder_dropout", "MAE", "MNLL", "PICP(%)", "MPIW"];
@@ -108,8 +114,11 @@ fn main() {
     awa_retrain(&mut awa_model, &ds, &mcfg.awa, kind, mcfg.train.weight_decay, &mut rng)
         .expect("AWA re-training failed");
     let mut awa_rng = rng.fork(1);
-    let awa_metrics =
-        eval_gaussian(|x| mc_forecast(&awa_model, x, mcfg.mc_samples, &mut awa_rng), &ds, stride);
+    let awa_metrics = eval_gaussian(
+        |x| mc_forecast(&awa_model, x, None, mcfg.mc_samples, &mut awa_rng),
+        &ds,
+        stride,
+    );
     let awa_mem = awa_model.params().n_scalars();
 
     let mut rows = Vec::new();

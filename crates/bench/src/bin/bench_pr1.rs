@@ -75,19 +75,19 @@ fn time_mc(model: &Agcrn, x: &Tensor, t: usize) -> Triple {
             let mut rng = StuqRng::new(9);
             stuq_parallel::with_serial(|| {
                 kernels::with_reference_kernels(|| {
-                    std::hint::black_box(deepstuq::mc::mc_forecast(model, x, t, &mut rng))
+                    std::hint::black_box(deepstuq::mc::mc_forecast(model, x, None, t, &mut rng))
                 })
             })
         }),
         blocked: bench_with("mc blocked", 1.0, 20, || {
             let mut rng = StuqRng::new(9);
             stuq_parallel::with_serial(|| {
-                std::hint::black_box(deepstuq::mc::mc_forecast(model, x, t, &mut rng))
+                std::hint::black_box(deepstuq::mc::mc_forecast(model, x, None, t, &mut rng))
             })
         }),
         parallel: bench_with("mc parallel", 1.0, 20, || {
             let mut rng = StuqRng::new(9);
-            std::hint::black_box(deepstuq::mc::mc_forecast(model, x, t, &mut rng))
+            std::hint::black_box(deepstuq::mc::mc_forecast(model, x, None, t, &mut rng))
         }),
     }
 }
@@ -96,11 +96,11 @@ fn time_mc(model: &Agcrn, x: &Tensor, t: usize) -> Triple {
 fn check_determinism(model: &Agcrn, x: &Tensor, t: usize) -> bool {
     let par = {
         let mut rng = StuqRng::new(42);
-        deepstuq::mc::mc_forecast(model, x, t, &mut rng)
+        deepstuq::mc::mc_forecast(model, x, None, t, &mut rng)
     };
     let ser = {
         let mut rng = StuqRng::new(42);
-        stuq_parallel::with_serial(|| deepstuq::mc::mc_forecast(model, x, t, &mut rng))
+        stuq_parallel::with_serial(|| deepstuq::mc::mc_forecast(model, x, None, t, &mut rng))
     };
     let bits = |a: &Tensor, b: &Tensor| {
         a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())

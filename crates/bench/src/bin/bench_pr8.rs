@@ -83,15 +83,16 @@ impl Triple {
     }
 }
 
-/// Seed = the genuine pre-engine walk; engine-serial = warm replay on a
-/// forced-serial pool (the ≥ 1.0× target of this PR); parallel = warm replay
-/// with the pool fanning out frozen chunks. The three variants run
-/// interleaved, one iteration each per round, so machine noise cannot land
-/// on only one side of a ratio.
+/// Seed = the genuine pre-engine walk; engine-serial = warm replay; both on a
+/// forced-serial pool, so `speedup_serial_vs_seed` compares two runs at
+/// width 1 (the seed walk's adjoint matmuls would otherwise fan out).
+/// Parallel = warm replay with the pool fanning out frozen chunks. The three
+/// variants run interleaved, one iteration each per round, so machine noise
+/// cannot land on only one side of a ratio.
 fn time_backward(tape: &Tape, l: usize, plan: &mut ReplayPlan, secs: f64, reps: usize) -> Triple {
     let plan = std::cell::RefCell::new(plan);
     let mut seed = || {
-        std::hint::black_box(tape.backward_serial(l));
+        stuq_parallel::with_serial(|| std::hint::black_box(tape.backward_serial(l)));
     };
     let mut engine_serial = || {
         stuq_parallel::with_serial(|| std::hint::black_box(plan.borrow_mut().run(tape)));

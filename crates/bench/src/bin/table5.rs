@@ -21,7 +21,7 @@ fn eval_point(model: &Agcrn, ds: &SplitDataset, mc: usize, stride: usize, seed: 
     let scaler = *ds.scaler();
     let mut rng = StuqRng::new(seed);
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = mc_forecast(model, x, mc, &mut rng);
+        let f = mc_forecast(model, x, None, mc, &mut rng);
         RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: None, bounds: None }
     });
     [r.point.mae, r.point.rmse, r.point.mape]

@@ -29,7 +29,7 @@ fn eval_uq(
     let std = scaler.std() as f32;
     let mut rng = StuqRng::new(seed);
     let r = evaluate(ds, Split::Test, stride, |x, _| {
-        let f = mc_forecast(model, x, mc, &mut rng);
+        let f = mc_forecast(model, x, None, mc, &mut rng);
         let sigma = f.sigma_total(temperature).scale(std);
         RawForecast { mu: f.mu.map(|v| scaler.inverse(v)), sigma: Some(sigma), bounds: None }
     });
@@ -48,7 +48,7 @@ fn calibrate_on_train(
     let mut residual_sq = Vec::new();
     for &s in ds.window_starts(Split::Train).iter().step_by(stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, mc, rng);
+        let f = mc_forecast(model, &w.x, None, mc, rng);
         let y = ds.normalize_target(&w.y_raw).transpose();
         let var = f.var_total(1.0);
         for i in 0..y.len() {

@@ -1090,11 +1090,8 @@ fn cmd_serve_router(a: &Args) -> Result<(), CliError> {
     let workers: Vec<Box<dyn ShardWorker>> = (0..shards * replicas)
         .map(|w| {
             let (s, r) = (w / replicas, w % replicas);
-            let stem = if replicas == 1 {
-                format!("worker-{s}")
-            } else {
-                format!("worker-{s}-{r}")
-            };
+            let stem =
+                if replicas == 1 { format!("worker-{s}") } else { format!("worker-{s}-{r}") };
             let socket = worker_dir.join(format!("{stem}.sock"));
             let mut args = base_args.clone();
             args.push("--socket".into());

@@ -13,7 +13,7 @@
 
 use crate::config::CalibConfig;
 use crate::error::TrainError;
-use crate::mc::mc_forecast_with_cov;
+use crate::mc::mc_forecast;
 use stuq_models::Forecaster;
 use stuq_nn::lbfgs::{minimize, LbfgsOptions};
 use stuq_tensor::StuqRng;
@@ -67,7 +67,7 @@ pub fn calibrate_on_validation(
     let mut residual_sq = Vec::new();
     for &s in starts.iter().step_by(cfg.stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast_with_cov(model, &w.x, w.cov.as_ref(), cfg.mc_samples, rng);
+        let f = mc_forecast(model, &w.x, w.cov.as_ref(), cfg.mc_samples, rng);
         let y_norm = ds.normalize_target(&w.y_raw).transpose(); // [N, τ]
                                                                 // r² uses the *total* uncalibrated variance, matching Eq. 18 where
                                                                 // σ² comes from the Monte-Carlo estimate.

@@ -6,13 +6,11 @@
 //! quantified (the `ablations` bench compares AWA's single model against
 //! the M-model ensemble at matched and unmatched budgets).
 
-use crate::mc::GaussianForecast;
+use crate::mc::{run_pass, sample_anytime, GaussianForecast, UnlimitedBudget};
 use crate::trainer::{train, LossKind};
 use crate::TrainConfig;
-use stuq_models::{Agcrn, AgcrnConfig, Forecaster, Prediction};
-use stuq_nn::layers::FwdCtx;
-use stuq_nn::loss::{LOGVAR_MAX, LOGVAR_MIN};
-use stuq_tensor::{StuqRng, Tape, Tensor};
+use stuq_models::{Agcrn, AgcrnConfig, Forecaster};
+use stuq_tensor::{StuqRng, Tensor};
 use stuq_traffic::SplitDataset;
 
 /// An ensemble of independently initialised and trained base models.
@@ -69,23 +67,12 @@ impl DeepEnsemble {
     /// data-parallel with one forked RNG stream each; the reduction is
     /// ordered, so the result is thread-count independent.
     pub fn forecast(&self, x: &Tensor, rng: &mut StuqRng) -> GaussianForecast {
-        let first = &self.members[0];
+        let (n, first) = (self.members.len(), &self.members[0]);
         let shape = [first.n_nodes(), first.horizon()];
-        let streams = crate::mc::fork_streams(rng, self.members.len());
-        let samples = stuq_parallel::par_map(self.members.len(), |j| {
-            let mut r = streams[j].clone();
-            let mut tape = Tape::new();
-            let mut ctx = FwdCtx::eval(&mut r);
-            let pred = self.members[j].forward(&mut tape, x, &mut ctx);
-            let mu = tape.value(pred.point()).clone();
-            let var = if let Prediction::Gaussian { logvar, .. } = pred {
-                Some(tape.value(logvar).map(|lv| lv.clamp(LOGVAR_MIN, LOGVAR_MAX).exp()))
-            } else {
-                None
-            };
-            (mu, var)
-        });
-        crate::mc::reduce_samples(samples, shape)
+        sample_anytime(shape, n, n, &mut UnlimitedBudget, rng, None, |j, stream| {
+            run_pass(&self.members[j], x, None, stream, true)
+        })
+        .forecast
     }
 }
 

@@ -1,5 +1,6 @@
 //! Monte-Carlo dropout inference and uncertainty combination (Eq. 19).
 
+use std::time::Instant;
 use stuq_models::{Forecaster, Prediction};
 use stuq_nn::layers::FwdCtx;
 use stuq_nn::loss::{LOGVAR_MAX, LOGVAR_MIN};
@@ -42,24 +43,15 @@ impl GaussianForecast {
     }
 }
 
-fn clamped_var(logvar: &Tensor) -> Tensor {
-    logvar.map(|lv| lv.clamp(LOGVAR_MIN, LOGVAR_MAX).exp())
-}
-
-/// One stochastic forward pass: `(μ_j, σ²_j?)` in normalised units.
+/// One forward pass: `(μ_j, σ²_j?)` in normalised units.
 type SamplePass = (Tensor, Option<Tensor>);
 
-/// Combines per-sample passes into the Eq. 19 decomposition.
+/// Combines the passes of one run into the Eq. 19 decomposition.
 ///
 /// Accumulation runs in *sample-index order* — together with the
-/// per-sample RNG streams this is what makes the parallel inference paths
+/// per-sample RNG streams this is what makes every sampling path
 /// bit-identical across thread counts.
-pub(crate) fn reduce_samples(samples: Vec<SamplePass>, shape: [usize; 2]) -> GaussianForecast {
-    reduce_sample_slice(&samples, shape)
-}
-
-/// Slice form of [`reduce_samples`], usable on a growing prefix.
-pub(crate) fn reduce_sample_slice(samples: &[SamplePass], shape: [usize; 2]) -> GaussianForecast {
+fn reduce(samples: &[SamplePass], shape: [usize; 2]) -> GaussianForecast {
     let n = samples.len();
     let mut mean = Tensor::zeros(&shape);
     let mut mean_sq = Tensor::zeros(&shape);
@@ -84,22 +76,11 @@ pub(crate) fn reduce_sample_slice(samples: &[SamplePass], shape: [usize; 2]) -> 
     GaussianForecast { mu: mean, var_aleatoric, var_epistemic, n_samples: n }
 }
 
-/// Forks one independent RNG stream per sample from the caller's generator.
-///
-/// The fork happens *before* the fan-out, on the calling thread, so the set
-/// of streams is a pure function of the caller's RNG state — sample `j`
-/// consumes stream `j` no matter which worker executes it or how many
-/// workers exist.
-pub(crate) fn fork_streams(rng: &mut StuqRng, n: usize) -> Vec<StuqRng> {
-    (0..n).map(|i| rng.fork(i as u64)).collect()
-}
-
 /// One forward pass on its own tape. `deterministic` selects the eval
-/// context (the single-sample `DeepSTUQ/S` mode); otherwise dropout stays
-/// live ([`FwdCtx::mc_sample`]). Every MC entry point funnels through here,
-/// which is what makes the solo, anytime, and batched paths bit-identical
-/// for the same stream.
-fn run_pass(
+/// context (the single-sample `DeepSTUQ/S` mode and ensemble members);
+/// otherwise dropout stays live ([`FwdCtx::mc_sample`]). Every MC sample
+/// and every ensemble member is drawn here.
+pub(crate) fn run_pass(
     model: &dyn Forecaster,
     x: &Tensor,
     cov: Option<&Tensor>,
@@ -112,59 +93,89 @@ fn run_pass(
     let pred = model.forward_with_cov(&mut tape, x, cov, &mut ctx);
     let mu_j = tape.value(pred.point()).clone();
     let var_j = if let Prediction::Gaussian { logvar, .. } = pred {
-        Some(clamped_var(tape.value(logvar)))
+        Some(tape.value(logvar).map(|lv| lv.clamp(LOGVAR_MIN, LOGVAR_MAX).exp()))
     } else {
         None
     };
     (mu_j, var_j)
 }
 
-/// Runs `n_samples` stochastic forward passes (`n_samples == 1` runs a single
-/// deterministic pass — the `DeepSTUQ/S` mode of Table III).
+/// The sampling core behind every MC and ensemble forecast: forks one RNG
+/// stream per pass, fans the passes out, records MC telemetry, and reduces.
 ///
-/// Works with Gaussian heads (aleatoric + epistemic) and point heads
-/// (epistemic only — the MCDO / FGE baselines). Samples are data-parallel
-/// across the global `stuq-parallel` pool; see [`reduce_samples`] for the
-/// determinism contract.
-pub fn mc_forecast(
-    model: &dyn Forecaster,
-    x: &Tensor,
+/// Pass `j` is `pass(j, &stream_j)`. Passes below `floor` (clamped to
+/// `1..=n_samples`) are unconditional and run as one parallel round; each
+/// later pass runs as a round of its own, only after `budget` admits it,
+/// and a denial stops sampling with the passes completed so far. After
+/// each round `observer` sees the reduction over every new prefix, in
+/// order. Each round is one `stuq_mc_sample_seconds` observation at trace.
+///
+/// Determinism: the streams are forked on the calling thread, up front,
+/// for the full requested count — so pass `j` consumes stream `j` on any
+/// pool width, and the caller's RNG advances identically whether or not
+/// the budget cuts the run short — and the reduction folds in index order.
+pub(crate) fn sample_anytime(
+    shape: [usize; 2],
     n_samples: usize,
+    floor: usize,
+    budget: &mut dyn SampleBudget,
     rng: &mut StuqRng,
-) -> GaussianForecast {
-    mc_forecast_with_cov(model, x, None, n_samples, rng)
+    mut observer: Option<&mut dyn FnMut(&GaussianForecast)>,
+    pass: impl Fn(usize, &StuqRng) -> SamplePass + Sync,
+) -> AnytimeForecast {
+    assert!(n_samples >= 1, "need at least one sample");
+    let streams: Vec<StuqRng> = (0..n_samples).map(|j| rng.fork(j as u64)).collect();
+    let trace = stuq_obs::trace_enabled();
+    let t0 = trace.then(Instant::now);
+    let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
+    let mut end = floor.clamp(1, n_samples);
+    loop {
+        let start = samples.len();
+        let round_t0 = trace.then(Instant::now);
+        let round = stuq_parallel::par_map(end - start, |k| pass(start + k, &streams[start + k]));
+        samples.extend(round);
+        if let Some(t) = round_t0 {
+            stuq_obs::metrics().mc_sample_seconds.record(t.elapsed().as_secs_f64());
+        }
+        if let Some(obs) = observer.as_deref_mut() {
+            (start + 1..=end).for_each(|k| obs(&reduce(&samples[..k], shape)));
+        }
+        if end == n_samples || !budget.allow(end) {
+            break;
+        }
+        end += 1;
+    }
+    if stuq_obs::summary_enabled() {
+        stuq_obs::metrics().mc_samples.add(end as u64);
+    }
+    if let Some(t0) = t0 {
+        let secs = t0.elapsed().as_secs_f64();
+        let m = stuq_obs::metrics();
+        m.mc_forecast_seconds.record(secs);
+        if secs > 0.0 {
+            m.mc_samples_per_sec.set(end as f64 / secs);
+        }
+    }
+    AnytimeForecast { forecast: reduce(&samples, shape), samples_requested: n_samples }
 }
 
-/// [`mc_forecast`] with optional exogenous covariates (`[t_h, c]`).
-pub fn mc_forecast_with_cov(
+/// Runs `n_samples` stochastic forward passes (`n_samples == 1` runs a single
+/// deterministic pass — the `DeepSTUQ/S` mode of Table III), with optional
+/// exogenous covariates (`[t_h, c]`).
+///
+/// Works with Gaussian heads (aleatoric + epistemic) and point heads
+/// (epistemic only — the MCDO baseline). Samples are data-parallel across
+/// the global `stuq-parallel` pool and bit-identical for any pool width:
+/// this is [`mc_forecast_anytime`] with the floor at `n_samples`.
+pub fn mc_forecast(
     model: &dyn Forecaster,
     x: &Tensor,
     cov: Option<&Tensor>,
     n_samples: usize,
     rng: &mut StuqRng,
 ) -> GaussianForecast {
-    assert!(n_samples >= 1, "need at least one sample");
-    // Telemetry (pure observer): count samples at summary, time the fan-out
-    // at trace to derive MC samples/s.
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(n_samples as u64);
-    }
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let shape = [model.n_nodes(), model.horizon()];
-    let streams = fork_streams(rng, n_samples);
-    let samples =
-        stuq_parallel::par_map(n_samples, |j| run_pass(model, x, cov, &streams[j], n_samples == 1));
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        // The whole fan-out is one sample batch from the tracing view.
-        m.mc_sample_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(n_samples as f64 / secs);
-        }
-    }
-    reduce_samples(samples, shape)
+    mc_forecast_anytime(model, x, cov, n_samples, n_samples, &mut UnlimitedBudget, rng, None)
+        .forecast
 }
 
 /// Decides, between MC forward passes, whether the sampler may draw another
@@ -206,27 +217,17 @@ impl AnytimeForecast {
     }
 }
 
-/// [`mc_forecast_with_cov`] with a cooperative deadline budget: the sampling
-/// loop checks `budget` between forward passes and returns early with the
-/// samples completed so far, never fewer than `floor` (clamped to
-/// `1..=n_samples`).
+/// [`mc_forecast`] with a cooperative deadline budget: the first `floor`
+/// passes (clamped to `1..=n_samples`) always run; `budget` is checked
+/// before each later pass, and the run returns early with the samples
+/// completed so far. When `observer` is given it sees the reduction over
+/// every completed prefix — the serving layer derives its monotone variance
+/// envelope from these snapshots.
 ///
-/// Two determinism guarantees, both load-bearing for the serving runtime:
-///
-/// - the per-sample RNG streams are forked from `rng` *up front* for the full
-///   requested count, so the caller's generator advances identically whether
-///   or not the budget cuts the run short, and sample `j` sees the same
-///   stream as the batch path would give it;
-/// - an uncut run is bit-identical to [`mc_forecast_with_cov`] for the same
-///   inputs (the pass mode is keyed on the *requested* count, matching the
-///   batch path, and the reduction is the same sample-index-ordered fold).
-///
-/// The per-pass loop is sequential; each forward pass still fans out across
-/// the kernel-level `stuq-parallel` pool, so results stay bit-identical for
-/// any `STUQ_THREADS`. When `observer` is given it is called after every
-/// completed pass with the reduction over the prefix so far — the serving
-/// layer derives its monotone variance envelope from these snapshots.
-#[allow(clippy::too_many_arguments)] // mirrors mc_forecast_with_cov plus the budget knobs
+/// The pass mode is keyed on the *requested* count, so a cut run reduces
+/// exactly the first `k` passes of the uncut one, and an uncut run is
+/// bit-identical to [`mc_forecast`] for the same inputs.
+#[allow(clippy::too_many_arguments)] // mc_forecast's inputs plus the budget knobs
 pub fn mc_forecast_anytime(
     model: &dyn Forecaster,
     x: &Tensor,
@@ -235,223 +236,16 @@ pub fn mc_forecast_anytime(
     floor: usize,
     budget: &mut dyn SampleBudget,
     rng: &mut StuqRng,
-    mut observer: Option<&mut dyn FnMut(&GaussianForecast)>,
+    observer: Option<&mut dyn FnMut(&GaussianForecast)>,
 ) -> AnytimeForecast {
-    assert!(n_samples >= 1, "need at least one sample");
-    let floor = floor.clamp(1, n_samples);
     let shape = [model.n_nodes(), model.horizon()];
-    let streams = fork_streams(rng, n_samples);
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let mut samples: Vec<SamplePass> = Vec::with_capacity(n_samples);
-    for (j, stream) in streams.iter().enumerate() {
-        if j >= floor && !budget.allow(j) {
-            break;
-        }
-        samples.push(run_pass(model, x, cov, stream, n_samples == 1));
-        if let Some(obs) = observer.as_deref_mut() {
-            obs(&reduce_sample_slice(&samples, shape));
-        }
-    }
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(samples.len() as u64);
-    }
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(samples.len() as f64 / secs);
-        }
-    }
-    AnytimeForecast { forecast: reduce_samples(samples, shape), samples_requested: n_samples }
+    sample_anytime(shape, n_samples, floor, budget, rng, observer, |_, stream| {
+        run_pass(model, x, cov, stream, n_samples == 1)
+    })
 }
 
-/// One request's slot in a batched MC call: its input window, covariates,
-/// and per-item sampling knobs. The item *owns* its RNG — the batch entry
-/// points fork per-sample streams from it exactly as the solo paths do, so
-/// an item's result is bit-identical to calling [`mc_forecast_with_cov`] /
-/// [`mc_forecast_anytime`] alone with the same generator.
-pub struct McBatchItem<'a> {
-    /// Input window `[t_h, N]`, normalised units.
-    pub x: &'a Tensor,
-    /// Optional exogenous covariates `[t_h, c]`.
-    pub cov: Option<&'a Tensor>,
-    /// Requested MC samples (also keys the pass mode: 1 → deterministic).
-    pub n_samples: usize,
-    /// Degradation floor (clamped to `1..=n_samples`).
-    pub floor: usize,
-    /// Per-item generator; streams are forked from it up front for the full
-    /// requested count, so it advances identically cut or uncut.
-    pub rng: StuqRng,
-}
-
-/// Per-item form of [`SampleBudget`] for batched anytime runs: may item
-/// `item` run one more pass, given `completed` finished passes?
-///
-/// [`mc_forecast_anytime_batch`] consults the budget in *item order* within
-/// each round, once per decision — with a clock-backed budget and a logical
-/// clock, the read sequence (and therefore every cut point) is a pure
-/// function of the batch composition.
-pub trait BatchSampleBudget {
-    /// May one more pass run for `item`?
-    fn allow(&mut self, item: usize, completed: usize) -> bool;
-}
-
-impl BatchSampleBudget for UnlimitedBudget {
-    fn allow(&mut self, _item: usize, _completed: usize) -> bool {
-        true
-    }
-}
-
-/// Per-item prefix observer for [`mc_forecast_anytime_batch`]: fires with
-/// `(item index, reduction over that item's completed passes so far)`.
-pub type BatchObserver<'a> = &'a mut dyn FnMut(usize, &GaussianForecast);
-
-/// Batched [`mc_forecast_with_cov`]: runs every item's full sample fan-out
-/// as one flattened `(item × sample)` parallel map.
-///
-/// Each item's streams are forked from its own RNG before the fan-out and
-/// its passes are reduced in sample-index order, so item `i`'s result is
-/// bit-identical to a solo [`mc_forecast_with_cov`] call — batching changes
-/// wall-clock parallelism, never bytes.
-pub fn mc_forecast_batch(
-    model: &dyn Forecaster,
-    items: &mut [McBatchItem<'_>],
-) -> Vec<GaussianForecast> {
-    let shape = [model.n_nodes(), model.horizon()];
-    // (item index, stream, deterministic?) per flattened pass, item-major.
-    let mut flat: Vec<(usize, StuqRng, bool)> = Vec::new();
-    for (i, item) in items.iter_mut().enumerate() {
-        assert!(item.n_samples >= 1, "need at least one sample per item");
-        let single = item.n_samples == 1;
-        for stream in fork_streams(&mut item.rng, item.n_samples) {
-            flat.push((i, stream, single));
-        }
-    }
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(flat.len() as u64);
-    }
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let items_ro: &[McBatchItem<'_>] = items;
-    let passes = stuq_parallel::par_map(flat.len(), |k| {
-        let (i, stream, single) = &flat[k];
-        run_pass(model, items_ro[*i].x, items_ro[*i].cov, stream, *single)
-    });
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        m.mc_sample_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(flat.len() as f64 / secs);
-        }
-    }
-    // Un-flatten: passes come back in item-major order.
-    let mut out = Vec::with_capacity(items.len());
-    let mut it = passes.into_iter();
-    for item in items.iter() {
-        let samples: Vec<SamplePass> = it.by_ref().take(item.n_samples).collect();
-        out.push(reduce_samples(samples, shape));
-    }
-    out
-}
-
-/// Batched [`mc_forecast_anytime`]: round `j` runs pass `j` for every item
-/// still admitted, as one parallel map per round.
-///
-/// Per-item semantics match the solo path exactly: pass `j` runs iff
-/// `j < n_samples` and (`j < floor` or the budget allows it); a single
-/// denial retires the item for good; `observer` fires after each of an
-/// item's completed passes with the reduction over its prefix so far.
-/// Budget decisions are made in item order within a round, so with a
-/// logical clock the cut points are deterministic — though *different*
-/// from the solo path's, whose clock reads are not interleaved across
-/// items. Uncut items are bit-identical to solo runs; that is the
-/// serving runtime's batched-vs-unbatched byte-identity guarantee.
-pub fn mc_forecast_anytime_batch(
-    model: &dyn Forecaster,
-    items: &mut [McBatchItem<'_>],
-    budget: &mut dyn BatchSampleBudget,
-    mut observer: Option<BatchObserver<'_>>,
-) -> Vec<AnytimeForecast> {
-    let shape = [model.n_nodes(), model.horizon()];
-    let streams: Vec<Vec<StuqRng>> = items
-        .iter_mut()
-        .map(|item| {
-            assert!(item.n_samples >= 1, "need at least one sample per item");
-            fork_streams(&mut item.rng, item.n_samples)
-        })
-        .collect();
-    let t0 = stuq_obs::trace_enabled().then(std::time::Instant::now);
-    let mut samples: Vec<Vec<SamplePass>> = items.iter().map(|_| Vec::new()).collect();
-    let mut active: Vec<bool> = vec![true; items.len()];
-    let mut round = 0;
-    loop {
-        let mut runners: Vec<usize> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if !active[i] {
-                continue;
-            }
-            if round >= item.n_samples {
-                active[i] = false;
-                continue;
-            }
-            let floor = item.floor.clamp(1, item.n_samples);
-            if round >= floor && !budget.allow(i, round) {
-                active[i] = false;
-                continue;
-            }
-            runners.push(i);
-        }
-        if runners.is_empty() {
-            break;
-        }
-        let items_ro: &[McBatchItem<'_>] = items;
-        let round_t0 = t0.is_some().then(std::time::Instant::now);
-        let passes = stuq_parallel::par_map(runners.len(), |k| {
-            let i = runners[k];
-            let item = &items_ro[i];
-            run_pass(model, item.x, item.cov, &streams[i][round], item.n_samples == 1)
-        });
-        if let Some(rt0) = round_t0 {
-            // One round = one MC sample batch (pass `round` for every still-
-            // admitted item): the per-batch distribution `stuq trace` and the
-            // serving timeline attribute group compute to.
-            stuq_obs::metrics().mc_sample_seconds.record(rt0.elapsed().as_secs_f64());
-        }
-        for (k, pass) in passes.into_iter().enumerate() {
-            let i = runners[k];
-            samples[i].push(pass);
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(i, &reduce_sample_slice(&samples[i], shape));
-            }
-        }
-        round += 1;
-    }
-    let total: usize = samples.iter().map(Vec::len).sum();
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(total as u64);
-    }
-    if let Some(t0) = t0 {
-        let secs = t0.elapsed().as_secs_f64();
-        let m = stuq_obs::metrics();
-        m.mc_forecast_seconds.record(secs);
-        if secs > 0.0 {
-            m.mc_samples_per_sec.set(total as f64 / secs);
-        }
-    }
-    samples
-        .into_iter()
-        .zip(items.iter())
-        .map(|(s, item)| AnytimeForecast {
-            forecast: reduce_samples(s, shape),
-            samples_requested: item.n_samples,
-        })
-        .collect()
-}
-
-/// Ensemble combination for snapshot ensembles (FGE): runs one deterministic
-/// pass per snapshot, data-parallel with one model clone per snapshot.
+/// Ensemble combination for snapshot ensembles (FGE): one deterministic pass
+/// per snapshot, data-parallel with one model clone per snapshot.
 ///
 /// Returns the same decomposition as [`mc_forecast`], with the across-model
 /// variance playing the epistemic role. On return `model` holds the *last*
@@ -462,30 +256,15 @@ pub fn ensemble_forecast<M: Forecaster + Clone>(
     x: &Tensor,
     rng: &mut StuqRng,
 ) -> GaussianForecast {
-    assert!(!snapshots.is_empty(), "need at least one snapshot");
-    if stuq_obs::summary_enabled() {
-        stuq_obs::metrics().mc_samples.add(snapshots.len() as u64);
-    }
-    let shape = [model.n_nodes(), model.horizon()];
-    let streams = fork_streams(rng, snapshots.len());
+    let (n, shape) = (snapshots.len(), [model.n_nodes(), model.horizon()]);
     let proto: &M = model;
-    let samples = stuq_parallel::par_map(snapshots.len(), |j| {
+    let f = sample_anytime(shape, n, n, &mut UnlimitedBudget, rng, None, |j, stream| {
         let mut member = proto.clone();
         member.params_mut().load_snapshot(&snapshots[j]);
-        let mut r = streams[j].clone();
-        let mut tape = Tape::new();
-        let mut ctx = FwdCtx::eval(&mut r);
-        let pred = member.forward(&mut tape, x, &mut ctx);
-        let mu_j = tape.value(pred.point()).clone();
-        let var_j = if let Prediction::Gaussian { logvar, .. } = pred {
-            Some(clamped_var(tape.value(logvar)))
-        } else {
-            None
-        };
-        (mu_j, var_j)
+        run_pass(&member, x, None, stream, true)
     });
     model.params_mut().load_snapshot(snapshots.last().expect("non-empty"));
-    reduce_samples(samples, shape)
+    f.forecast
 }
 
 /// FNV-1a over the shapes and `f32` bit patterns of `tensors`, in order:
@@ -520,8 +299,8 @@ mod tests {
         let mut rng = StuqRng::new(1);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let f1 = mc_forecast(&model, &x, 1, &mut rng);
-        let f2 = mc_forecast(&model, &x, 1, &mut rng);
+        let f1 = mc_forecast(&model, &x, None, 1, &mut rng);
+        let f2 = mc_forecast(&model, &x, None, 1, &mut rng);
         assert_eq!(f1.mu.data(), f2.mu.data(), "n=1 disables dropout");
         assert_eq!(f1.var_epistemic.sum(), 0.0);
         assert!(f1.var_aleatoric.min() > 0.0);
@@ -532,7 +311,7 @@ mod tests {
         let mut rng = StuqRng::new(2);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let f = mc_forecast(&model, &x, 8, &mut rng);
+        let f = mc_forecast(&model, &x, None, 8, &mut rng);
         assert!(f.var_epistemic.mean() > 0.0, "dropout must create spread");
         assert!(f.var_epistemic.min() >= 0.0);
     }
@@ -542,7 +321,7 @@ mod tests {
         let mut rng = StuqRng::new(3);
         let model = model_with_dropout(HeadKind::Point, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let f = mc_forecast(&model, &x, 6, &mut rng);
+        let f = mc_forecast(&model, &x, None, 6, &mut rng);
         assert_eq!(f.var_aleatoric.sum(), 0.0);
         assert!(f.var_epistemic.mean() > 0.0);
     }
@@ -552,7 +331,7 @@ mod tests {
         let mut rng = StuqRng::new(4);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let f = mc_forecast(&model, &x, 8, &mut rng);
+        let f = mc_forecast(&model, &x, None, 8, &mut rng);
         let v1 = f.var_total(1.0);
         let v2 = f.var_total(2.0);
         // At T=2 the aleatoric part shrinks by 4×; epistemic unchanged.
@@ -573,8 +352,8 @@ mod tests {
         let spread = |n: usize| {
             let mut r1 = StuqRng::new(100);
             let mut r2 = StuqRng::new(200);
-            let f1 = mc_forecast(&model, &x, n, &mut r1);
-            let f2 = mc_forecast(&model, &x, n, &mut r2);
+            let f1 = mc_forecast(&model, &x, None, n, &mut r1);
+            let f2 = mc_forecast(&model, &x, None, n, &mut r2);
             f1.mu.sub(&f2.mu).norm()
         };
         assert!(spread(32) < spread(2), "MC mean must concentrate with more samples");
@@ -588,8 +367,9 @@ mod tests {
         let mut rng = StuqRng::new(11);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let par = mc_forecast(&model, &x, 8, &mut StuqRng::new(42));
-        let ser = stuq_parallel::with_serial(|| mc_forecast(&model, &x, 8, &mut StuqRng::new(42)));
+        let par = mc_forecast(&model, &x, None, 8, &mut StuqRng::new(42));
+        let ser =
+            stuq_parallel::with_serial(|| mc_forecast(&model, &x, None, 8, &mut StuqRng::new(42)));
         assert_eq!(par.mu.data(), ser.mu.data());
         assert_eq!(par.var_aleatoric.data(), ser.var_aleatoric.data());
         assert_eq!(par.var_epistemic.data(), ser.var_epistemic.data());
@@ -616,7 +396,7 @@ mod tests {
         let mut rng = StuqRng::new(21);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
         let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let full = mc_forecast(&model, &x, 8, &mut StuqRng::new(7));
+        let full = mc_forecast(&model, &x, None, 8, &mut StuqRng::new(7));
         let any = mc_forecast_anytime(
             &model,
             &x,
@@ -663,7 +443,7 @@ mod tests {
     #[test]
     fn anytime_prefix_equals_batch_prefix_and_rng_advances_identically() {
         // A budget-cut run must (a) reduce exactly the first k streams of the
-        // batch path and (b) leave the caller's RNG in the same state as an
+        // uncut fan-out and (b) leave the caller's RNG in the same state as an
         // uncut run, so downstream draws don't depend on load.
         let mut rng = StuqRng::new(23);
         let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
@@ -673,7 +453,7 @@ mod tests {
         assert_eq!(cut.forecast.n_samples, 3);
         assert!(cut.degraded());
         let mut r_full = StuqRng::new(9);
-        let full = mc_forecast(&model, &x, 8, &mut r_full);
+        let full = mc_forecast(&model, &x, None, 8, &mut r_full);
         assert_ne!(cut.forecast.mu.data(), full.mu.data(), "3-sample mean differs from 8-sample");
         let a = Tensor::randn(&[3, 3], 1.0, &mut r_cut);
         let b = Tensor::randn(&[3, 3], 1.0, &mut r_full);
@@ -699,139 +479,6 @@ mod tests {
         );
         assert_eq!(seen, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(any.forecast.n_samples, 6);
-    }
-
-    #[test]
-    fn batch_items_match_solo_runs_bitwise() {
-        // Co-batching must never change bytes: each item of a mixed batch
-        // (different seeds, sample counts, inputs) reduces to exactly the
-        // solo-path result for the same generator.
-        let mut rng = StuqRng::new(31);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let xa = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let xb = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &xa, cov: None, n_samples: 8, floor: 1, rng: StuqRng::new(7) },
-            McBatchItem { x: &xb, cov: None, n_samples: 3, floor: 1, rng: StuqRng::new(9) },
-            McBatchItem { x: &xa, cov: None, n_samples: 1, floor: 1, rng: StuqRng::new(7) },
-        ];
-        let batched = mc_forecast_batch(&model, &mut items);
-        let solo = [
-            mc_forecast_with_cov(&model, &xa, None, 8, &mut StuqRng::new(7)),
-            mc_forecast_with_cov(&model, &xb, None, 3, &mut StuqRng::new(9)),
-            mc_forecast_with_cov(&model, &xa, None, 1, &mut StuqRng::new(7)),
-        ];
-        for (b, s) in batched.iter().zip(&solo) {
-            assert_eq!(b.mu.data(), s.mu.data());
-            assert_eq!(b.var_aleatoric.data(), s.var_aleatoric.data());
-            assert_eq!(b.var_epistemic.data(), s.var_epistemic.data());
-            assert_eq!(b.n_samples, s.n_samples);
-        }
-    }
-
-    #[test]
-    fn batch_is_bit_identical_across_thread_counts() {
-        let mut rng = StuqRng::new(32);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let run = || {
-            let mut items = vec![
-                McBatchItem { x: &x, cov: None, n_samples: 6, floor: 1, rng: StuqRng::new(1) },
-                McBatchItem { x: &x, cov: None, n_samples: 4, floor: 1, rng: StuqRng::new(2) },
-            ];
-            mc_forecast_batch(&model, &mut items)
-        };
-        let par = run();
-        let ser = stuq_parallel::with_serial(run);
-        for (a, b) in par.iter().zip(&ser) {
-            assert_eq!(a.mu.data(), b.mu.data());
-            assert_eq!(a.var_epistemic.data(), b.var_epistemic.data());
-        }
-    }
-
-    /// Per-item caps for the batched budget.
-    struct CapPerItem(Vec<usize>);
-    impl BatchSampleBudget for CapPerItem {
-        fn allow(&mut self, item: usize, completed: usize) -> bool {
-            completed < self.0[item]
-        }
-    }
-
-    #[test]
-    fn anytime_batch_uncut_matches_solo_anytime_bitwise() {
-        let mut rng = StuqRng::new(33);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 6, floor: 2, rng: StuqRng::new(7) },
-            McBatchItem { x: &x, cov: None, n_samples: 6, floor: 2, rng: StuqRng::new(8) },
-        ];
-        let batched = mc_forecast_anytime_batch(&model, &mut items, &mut UnlimitedBudget, None);
-        for (i, seed) in [7u64, 8].iter().enumerate() {
-            let solo = mc_forecast_anytime(
-                &model,
-                &x,
-                None,
-                6,
-                2,
-                &mut UnlimitedBudget,
-                &mut StuqRng::new(*seed),
-                None,
-            );
-            assert!(!batched[i].degraded());
-            assert_eq!(batched[i].forecast.mu.data(), solo.forecast.mu.data());
-            assert_eq!(
-                batched[i].forecast.var_epistemic.data(),
-                solo.forecast.var_epistemic.data()
-            );
-        }
-    }
-
-    #[test]
-    fn anytime_batch_honours_per_item_floors_and_cuts() {
-        let mut rng = StuqRng::new(34);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 2, rng: StuqRng::new(1) },
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 4, rng: StuqRng::new(2) },
-            McBatchItem { x: &x, cov: None, n_samples: 8, floor: 2, rng: StuqRng::new(3) },
-        ];
-        // Item 0 cut at 5, item 1 denied everywhere (floor 4 holds), item 2 uncut.
-        let out =
-            mc_forecast_anytime_batch(&model, &mut items, &mut CapPerItem(vec![5, 0, 8]), None);
-        assert_eq!(out[0].forecast.n_samples, 5);
-        assert!(out[0].degraded());
-        assert_eq!(out[1].forecast.n_samples, 4, "denied items stop exactly at their floor");
-        assert_eq!(out[2].forecast.n_samples, 8);
-        assert!(!out[2].degraded());
-        // A cut item reduces exactly the first k solo streams.
-        let solo = mc_forecast_anytime(
-            &model,
-            &x,
-            None,
-            8,
-            1,
-            &mut CapBudget(5),
-            &mut StuqRng::new(1),
-            None,
-        );
-        assert_eq!(out[0].forecast.mu.data(), solo.forecast.mu.data());
-    }
-
-    #[test]
-    fn anytime_batch_observer_sees_per_item_prefixes() {
-        let mut rng = StuqRng::new(35);
-        let model = model_with_dropout(HeadKind::Gaussian, 0.3, &mut rng);
-        let x = Tensor::randn(&[6, 5], 1.0, &mut rng);
-        let mut items = vec![
-            McBatchItem { x: &x, cov: None, n_samples: 3, floor: 1, rng: StuqRng::new(1) },
-            McBatchItem { x: &x, cov: None, n_samples: 2, floor: 1, rng: StuqRng::new(2) },
-        ];
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        let mut obs = |i: usize, g: &GaussianForecast| seen.push((i, g.n_samples));
-        mc_forecast_anytime_batch(&model, &mut items, &mut UnlimitedBudget, Some(&mut obs));
-        assert_eq!(seen, vec![(0, 1), (1, 1), (0, 2), (1, 2), (0, 3)]);
     }
 
     #[test]

@@ -279,41 +279,36 @@ impl TrainedMethod {
     }
 
     /// Raw-scale forecast for one normalised window.
+    ///
+    /// Every method but Quantile and FGE draws one [`mc_forecast`] — MC
+    /// sampling for the dropout methods, one deterministic pass otherwise —
+    /// and reports `σ = sigma_total(T)` unless it post-processes.
     pub fn forecast(&mut self, x: &Tensor, scaler: &Scaler) -> RawForecast {
         let std = scaler.std() as f32;
-        match self.method {
-            Method::Point => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: None, bounds: None }
-            }
-            Method::Quantile => self.quantile_forecast(x, scaler),
-            Method::Mve => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Mcdo | Method::Combined => {
-                let f = mc_forecast(&self.model, x, self.cfg.mc_samples, &mut self.rng);
-                let sigma = f.sigma_total(1.0).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::Ts => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let t = self.temperature;
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() / t * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
+        let f = match self.method {
+            Method::Quantile => return self.quantile_forecast(x, scaler),
             Method::Fge => {
                 let snaps = self.snapshots.as_ref().expect("FGE has snapshots").clone();
                 let f = ensemble_forecast(&mut self.model, &snaps, x, &mut self.rng);
                 let sigma = f.var_epistemic.map(|v| v.max(0.0).sqrt() * std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
+                return RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None };
             }
+            Method::Mcdo | Method::Combined | Method::DeepStuq => {
+                mc_forecast(&self.model, x, None, self.cfg.mc_samples, &mut self.rng)
+            }
+            _ => mc_forecast(&self.model, x, None, 1, &mut self.rng),
+        };
+        let mu = raw_mu(&f, scaler);
+        let sigma = match self.method {
+            Method::Point | Method::Cfrnn => None,
+            // sqrt(v)/T, not sqrt(v/T²): the two round differently.
+            Method::Ts => Some(f.var_aleatoric.map(|v| v.max(0.0).sqrt() / self.temperature * std)),
+            _ => Some(f.sigma_total(self.temperature).scale(std)),
+        };
+        let bounds = match self.method {
             Method::Conformal => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let mu = raw_mu(&f, scaler);
-                let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
                 let cp = self.conformal.as_ref().expect("conformal fitted");
+                let sigma = sigma.as_ref().expect("conformal has a Gaussian σ");
                 let mut lo = mu.clone();
                 let mut hi = mu.clone();
                 for i in 0..mu.len() {
@@ -321,11 +316,9 @@ impl TrainedMethod {
                     lo.data_mut()[i] = l as f32;
                     hi.data_mut()[i] = h as f32;
                 }
-                RawForecast { mu, sigma: Some(sigma), bounds: Some((lo, hi)) }
+                Some((lo, hi))
             }
             Method::Cfrnn => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let mu = raw_mu(&f, scaler);
                 let cf = self.cfrnn.as_ref().expect("cfrnn fitted");
                 let (n, tau) = (mu.rows(), mu.cols());
                 let mut lo = mu.clone();
@@ -337,19 +330,11 @@ impl TrainedMethod {
                         hi.set(i, h, u as f32);
                     }
                 }
-                RawForecast { mu, sigma: None, bounds: Some((lo, hi)) }
+                Some((lo, hi))
             }
-            Method::DeepStuqS => {
-                let f = mc_forecast(&self.model, x, 1, &mut self.rng);
-                let sigma = f.sigma_total(self.temperature).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-            Method::DeepStuq => {
-                let f = mc_forecast(&self.model, x, self.cfg.mc_samples, &mut self.rng);
-                let sigma = f.sigma_total(self.temperature).scale(std);
-                RawForecast { mu: raw_mu(&f, scaler), sigma: Some(sigma), bounds: None }
-            }
-        }
+            _ => None,
+        };
+        RawForecast { mu, sigma, bounds }
     }
 
     fn quantile_forecast(&mut self, x: &Tensor, scaler: &Scaler) -> RawForecast {
@@ -393,7 +378,7 @@ fn fit_conformal(
     let mut triples = Vec::new();
     for &s in ds.window_starts(Split::Val).iter().step_by(stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, 1, rng);
+        let f = mc_forecast(model, &w.x, None, 1, rng);
         let mu = raw_mu(&f, ds.scaler());
         let sigma = f.var_aleatoric.map(|v| v.max(0.0).sqrt() * std);
         let (n, tau) = (mu.rows(), mu.cols());
@@ -414,7 +399,7 @@ fn fit_cfrnn(model: &Agcrn, ds: &SplitDataset, stride: usize, rng: &mut StuqRng)
     let mut residuals = Vec::new();
     for &s in ds.window_starts(Split::Val).iter().step_by(stride.max(1)) {
         let w = ds.window(s);
-        let f = mc_forecast(model, &w.x, 1, rng);
+        let f = mc_forecast(model, &w.x, None, 1, rng);
         let mu = raw_mu(&f, ds.scaler());
         let (n, tau) = (mu.rows(), mu.cols());
         for i in 0..n {

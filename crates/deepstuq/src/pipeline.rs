@@ -17,7 +17,7 @@ use crate::checkpoint::{load_checkpoint, save_checkpoint, StageSnapshot};
 use crate::config::{AwaConfig, CalibConfig, TrainConfig};
 use crate::error::{Stage, TrainError};
 use crate::guard::{GuardConfig, GuardState};
-use crate::mc::{mc_forecast_with_cov, GaussianForecast};
+use crate::mc::{mc_forecast, GaussianForecast};
 use crate::trainer::{train_epoch_guarded, LossKind};
 use std::path::{Path, PathBuf};
 use stuq_metrics::Z_95;
@@ -515,7 +515,7 @@ impl DeepStuq {
         n_samples: usize,
         rng: &mut StuqRng,
     ) -> GaussianForecast {
-        mc_forecast_with_cov(&self.model, x, None, n_samples, rng)
+        mc_forecast(&self.model, x, None, n_samples, rng)
     }
 
     /// Raw-scale forecast for a dataset [`stuq_traffic::Window`], passing its
@@ -554,7 +554,7 @@ impl DeepStuq {
         n_samples: usize,
         rng: &mut StuqRng,
     ) -> Forecast {
-        let f = mc_forecast_with_cov(&self.model, x, cov, n_samples, rng);
+        let f = mc_forecast(&self.model, x, cov, n_samples, rng);
         let std = scaler.std() as f32;
         let t = self.temperature;
         let mu = f.mu.map(|v| scaler.inverse(v));

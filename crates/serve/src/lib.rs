@@ -12,14 +12,15 @@
 //!    typed rejection) and — crucially — runs the half-open probe that lets
 //!    the breaker recover.
 //! 2. **Anytime MC-dropout degradation** — each request carries a deadline
-//!    budget in (logical) milliseconds. The MC loop checks the budget
-//!    between passes ([`deepstuq::mc_forecast_anytime`]) and stops early,
-//!    never below the configured sample floor. A degraded response says so
-//!    (`degraded`, `samples_used`, `variance_inflation`) and reports a
-//!    *monotone variance envelope*: the running elementwise minimum over
-//!    prefix reductions of `σ²_alea/T² + (n_req/k)·σ²_epis`, so reported
-//!    variance never *increases* with more samples — fewer samples can only
-//!    widen the intervals, never narrow them.
+//!    budget in (logical) milliseconds. The one MC sampling core
+//!    ([`deepstuq::mc_forecast_anytime`]) runs the floor passes as one
+//!    parallel round, then checks the budget before each later pass and
+//!    stops early, never below the configured sample floor. A degraded
+//!    response says so (`degraded`, `samples_used`, `variance_inflation`)
+//!    and reports a *monotone variance envelope*: the running elementwise
+//!    minimum over prefix reductions of `σ²_alea/T² + (n_req/k)·σ²_epis`,
+//!    so reported variance never *increases* with more samples — fewer
+//!    samples can only widen the intervals, never narrow them.
 //! 3. **Circuit breaker** ([`breaker`]) — consecutive model faults
 //!    (non-finite μ/σ or |μ| above the guard-style ceiling) open the
 //!    breaker; while open, requests get the documented fallback (last-row
@@ -30,13 +31,13 @@
 //!    in atomically between requests and logs a `reload_rollback` for
 //!    anything invalid, without ever serving a half-loaded model.
 //!
-//! Two throughput mechanisms sit in front of the MC loop (DESIGN.md §12):
+//! Two throughput mechanisms sit in front of the MC core (DESIGN.md §12):
 //!
 //! 5. **Request coalescing** ([`batcher`]) — the worker gathers forecasts
 //!    that arrive together into one batch (`--batch-max`, window bounded by
 //!    `--batch-wait-ms` and the tightest gathered deadline), groups members
 //!    whose window bits, RNG derivation, and sample count coincide, and
-//!    runs *one* anytime-MC pass per group; each member slices its node
+//!    calls the anytime MC core *once* per group; each member slices its node
 //!    subset / horizon prefix out of the shared full-grid result.
 //! 6. **Per-tick forecast cache** ([`cache`]) — keyed on (model generation,
 //!    tick, window bits, seed derivation, `n_samples`), TTL = the data

@@ -244,12 +244,15 @@ struct ReqTrace {
     /// Queue wait from admission to processing start, when the loop
     /// measured one.
     wait_s: Option<f64>,
-    /// Per-shard RPC observations: (shard, seconds, status, reason,
-    /// answering replica on multi-replica clusters).
-    shards: Vec<(usize, f64, &'static str, Option<String>, Option<usize>)>,
+    /// Per-shard RPC observations.
+    shards: Vec<ShardObs>,
     /// Gather/merge duration, once the merge ran.
     merge_s: Option<f64>,
 }
+
+/// One per-shard RPC observation: (shard, seconds, status, reason,
+/// answering replica on multi-replica clusters).
+type ShardObs = (usize, f64, &'static str, Option<String>, Option<usize>);
 
 /// The cluster router state machine. [`router_loop`] drives it from a
 /// reader; tests drive it line by line through [`Router::handle_line`].
@@ -928,8 +931,10 @@ impl Router {
                     Err(_) => hedge_live = false,
                 }
             }
-            if !hedge_live && primary_err.is_some() {
-                return (rp, Err(primary_err.unwrap()));
+            if !hedge_live {
+                if let Some(e) = primary_err {
+                    return (rp, Err(e));
+                }
             }
         }
     }
@@ -1440,8 +1445,9 @@ impl Router {
             let any = replicas_of(s).map(|w| self.breakers[w].state());
             live.min_by_key(|&st| rank(st)).or_else(|| any.min_by_key(|&st| rank(st))).unwrap()
         };
-        let serviceable =
-            |s: usize| replicas_of(s).any(|w| wup(w) && self.breakers[w].state() != breaker::State::Open);
+        let serviceable = |s: usize| {
+            replicas_of(s).any(|w| wup(w) && self.breakers[w].state() != breaker::State::Open)
+        };
         let n_up = (0..self.map.n_workers()).filter(|&w| wup(w)).count();
         let n_serviceable = (0..n).filter(|&s| serviceable(s)).count();
         let all_healthy = (0..self.map.n_workers())

@@ -53,11 +53,7 @@ impl ShardMap {
     /// never moves a sensor.
     pub fn replicated(n_nodes: usize, n_shards: usize, n_replicas: usize) -> Self {
         let n_nodes = n_nodes.max(1);
-        ShardMap {
-            n_nodes,
-            n_shards: n_shards.clamp(1, n_nodes),
-            n_replicas: n_replicas.max(1),
-        }
+        ShardMap { n_nodes, n_shards: n_shards.clamp(1, n_nodes), n_replicas: n_replicas.max(1) }
     }
 
     /// Number of shards.

@@ -829,7 +829,8 @@ fn healthz_reports_per_replica_state_and_shard_fidelity() {
     // response fidelity (partial flag) does not.
     *modes[1].lock().unwrap() = Mode::KillOnCall;
     for i in 0..8u64 {
-        let resp = router.handle_line(&forecast_line(f, &format!("hz{i}"), Some(80 + i), None, None));
+        let resp =
+            router.handle_line(&forecast_line(f, &format!("hz{i}"), Some(80 + i), None, None));
         assert!(resp.response.contains("\"partial\":false"), "{}", resp.response);
     }
     let v = hz(&mut router);
@@ -885,7 +886,8 @@ fn faultnet_injection_counts_match_the_scripted_plan_exactly() {
                 exp_fo += 1;
             }
         }
-        let resp = router.handle_line(&forecast_line(f, &format!("p{i}"), Some(200 + i), None, None));
+        let resp =
+            router.handle_line(&forecast_line(f, &format!("p{i}"), Some(200 + i), None, None));
         let v = parsed(&resp.response);
         assert_eq!(ty(&v), "forecast", "{}", resp.response);
         assert!(
@@ -972,8 +974,7 @@ fn hedged_requests_let_a_fast_sibling_win_over_a_stalled_primary() {
     rcfg.shards = 1;
     rcfg.replicas = 2;
     rcfg.hedge_ms = Some(20);
-    let stalls: Vec<Arc<Mutex<u64>>> =
-        (0..2).map(|_| Arc::new(Mutex::new(0u64))).collect();
+    let stalls: Vec<Arc<Mutex<u64>>> = (0..2).map(|_| Arc::new(Mutex::new(0u64))).collect();
     let workers: Vec<Box<dyn ShardWorker>> = stalls
         .iter()
         .map(|stall| {

@@ -283,6 +283,22 @@ fn traced_responses_strip_to_untraced_bytes_solo_and_cluster() {
     assert_eq!(run_cluster(), cluster_tr, "traced responses must replay byte-identically");
 }
 
+/// A traced solo forecast fills the "seconds per MC sample batch" histogram:
+/// the sampling core records one observation per round — the floor passes
+/// (2 by default) as one round, then one per budgeted pass — so `mc = 4`
+/// records three.
+#[test]
+fn traced_solo_forecast_records_mc_sample_seconds() {
+    let _l = obs_lock();
+    let f = serve_fx();
+    stuq_obs::init(None, stuq_obs::Level::Trace);
+    let mut srv = Server::new(serve_cfg(f)).unwrap();
+    let before = stuq_obs::metrics().mc_sample_seconds.count();
+    let resp = srv.handle_line(&trace_forecast_line(f, "mc", Some(42))).response;
+    assert!(resp.contains("\"samples_used\":4"), "{resp}");
+    assert_eq!(stuq_obs::metrics().mc_sample_seconds.count() - before, 3);
+}
+
 /// `stuq trace --tree --no-times` over two identical seeded runs produces
 /// byte-identical timelines (the structural fingerprint), and `--strict`
 /// accepts a clean run.
