@@ -1,10 +1,10 @@
 //! Machine-readable speedup record for the static-schedule replay PR.
 //!
-//! BENCH_PR3 exposed the level-scheduled backward losing to the seed's
-//! serial walk on one core (0.67–0.75×): per-call schedule derivation and
-//! edge-arena bookkeeping ate the parallel win. This bench times the
-//! compiled-[`ReplayPlan`] engine (DESIGN.md §14) against the same seed
-//! baselines on the same workloads:
+//! A backward engine that re-derives its level schedule on every call lost
+//! to the seed's serial walk on one core (0.67–0.75×): per-call schedule
+//! derivation and edge-arena bookkeeping ate the parallel win. This bench
+//! times the compiled-[`ReplayPlan`] engine (DESIGN.md §14) against the
+//! seed baselines:
 //!
 //! - `backward`: the reverse sweep over a real AGCRN training tape —
 //!   warm `ReplayPlan::run` (schedule frozen, scratch preallocated, unary
@@ -18,8 +18,8 @@
 //! Results go to `BENCH_PR8.json` in the current directory. The binary
 //! *asserts* the determinism contract — replayed gradients (fresh plan, warm
 //! plan, forced-serial pool, public dispatcher) bit-identical to the serial
-//! walk, and 1-epoch parameters bit-identical with replay on vs off and
-//! serial vs parallel — and exits nonzero on divergence. `ci/bench_gate.sh`
+//! walk, and 1-epoch parameters bit-identical with replay on vs off (the
+//! serial oracle) and serial vs parallel — and exits nonzero on divergence. `ci/bench_gate.sh`
 //! reads the emitted ratios against the floors in `ci/bench_floors.env`
 //! (`--quick` shortens the timing loops without weakening the checks).
 
@@ -53,8 +53,7 @@ impl Triple {
 }
 
 /// Records one full AGCRN training-loss tape (forward + combined loss) at
-/// Pems04Like scale — the same fixture as BENCH_PR3's `backward` workload,
-/// and exactly the graph `sample_grad` replays every batch.
+/// Pems04Like scale — exactly the graph `sample_grad` replays every batch.
 fn training_tape() -> (Tape, usize) {
     let mut rng = StuqRng::new(0x404);
     let cfg = AgcrnConfig::new(307, 12)

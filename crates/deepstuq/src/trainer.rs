@@ -7,7 +7,7 @@
 //! The per-sample loop itself stays sequential — that fixes the RNG draw
 //! order the guard snapshots and checkpoints depend on — but every pass
 //! through it runs on the parallel training engine: the reverse sweep is the
-//! level-scheduled [`Tape::backward`] (DESIGN.md §9) and the optimiser step
+//! replayed [`Tape::backward`] (DESIGN.md §9, §14) and the optimiser step
 //! fans parameter slots onto the pool, both bit-identical to their serial
 //! forms for any `STUQ_THREADS` setting. All three pipeline stages
 //! (pre-train, AWA re-training, calibration) inherit this because they all
@@ -419,10 +419,10 @@ mod tests {
     }
 
     /// Training one epoch with the replay engine must leave every parameter
-    /// bit-identical to training with replay disabled: the dispatcher's
+    /// bit-identical to training on the serial oracle: the dispatcher's
     /// engine choice (and the plan cache, including the final partial
-    /// batch's second plan) can never leak into model weights. This is the
-    /// in-process twin of the CI determinism gate's `STUQ_REPLAY=0` train.
+    /// batch's second plan) can never leak into model weights. The CI
+    /// determinism gate runs this test at 1, 2 and 4 threads.
     #[test]
     fn one_epoch_train_bitwise_identical_replay_on_off() {
         let run = |disable_replay: bool| {

@@ -306,14 +306,8 @@ pub struct Metrics {
     pub pool_run_seconds: Histogram,
 
     // --- stuq-tensor: autodiff + kernels ---------------------------------
-    /// Reverse sweeps executed (serial or level-scheduled).
+    /// Reverse sweeps executed (serial or replayed).
     pub backward_runs: Counter,
-    /// Topological levels scheduled by `backward_levels`.
-    pub backward_levels: Counter,
-    /// Tape nodes visited by `backward_levels`.
-    pub backward_nodes: Counter,
-    /// Edge-delta arena slots allocated by `backward_levels`.
-    pub backward_edge_slots: Counter,
     /// Backward sweeps served by a cached replay plan.
     pub replay_hits: Counter,
     /// Replay plans compiled (one per new tape structure).
@@ -481,9 +475,6 @@ impl Metrics {
             pool_inline: Counter::new(),
             pool_run_seconds: Histogram::new(),
             backward_runs: Counter::new(),
-            backward_levels: Counter::new(),
-            backward_nodes: Counter::new(),
-            backward_edge_slots: Counter::new(),
             replay_hits: Counter::new(),
             replay_compiles: Counter::new(),
             replay_fused_chains: Counter::new(),
@@ -618,24 +609,6 @@ impl Metrics {
             "stuq_backward_runs_total",
             "reverse sweeps executed",
             self.backward_runs.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_levels_total",
-            "topological levels scheduled",
-            self.backward_levels.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_nodes_total",
-            "tape nodes visited by backward_levels",
-            self.backward_nodes.get(),
-        );
-        c(
-            &mut out,
-            "stuq_backward_edge_slots_total",
-            "edge-delta arena slots allocated",
-            self.backward_edge_slots.get(),
         );
         c(
             &mut out,
@@ -1033,9 +1006,6 @@ impl Metrics {
             ("stuq_pool_chunks_total", self.pool_chunks.get()),
             ("stuq_pool_inline_total", self.pool_inline.get()),
             ("stuq_backward_runs_total", self.backward_runs.get()),
-            ("stuq_backward_levels_total", self.backward_levels.get()),
-            ("stuq_backward_nodes_total", self.backward_nodes.get()),
-            ("stuq_backward_edge_slots_total", self.backward_edge_slots.get()),
             ("stuq_backward_replay_hits_total", self.replay_hits.get()),
             ("stuq_backward_replay_compiles_total", self.replay_compiles.get()),
             ("stuq_backward_replay_fused_chains_total", self.replay_fused_chains.get()),
@@ -1084,9 +1054,6 @@ impl Metrics {
         self.pool_inline.reset();
         self.pool_run_seconds.reset();
         self.backward_runs.reset();
-        self.backward_levels.reset();
-        self.backward_nodes.reset();
-        self.backward_edge_slots.reset();
         self.replay_hits.reset();
         self.replay_compiles.reset();
         self.replay_fused_chains.reset();

@@ -66,7 +66,8 @@ impl Json {
     /// The value as a non-negative integer (rejects fractions and negatives).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which itself must not fit.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -163,11 +164,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
                         let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "invalid \\u escape")?;
+                        // Exactly four ASCII hex digits: no sign, no space.
+                        let code = hex
+                            .iter()
+                            .try_fold(0u32, |acc, &h| Some(acc * 16 + (h as char).to_digit(16)?))
+                            .ok_or("invalid \\u escape")?;
                         out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         *pos += 4;
                     }
@@ -177,12 +178,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&c) if c < 0x20 => return Err("raw control character in string".into()),
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte sequences pass through).
-                let s = std::str::from_utf8(&b[*pos..])
+                // Copy the run of plain bytes up to the next quote, escape or
+                // control byte. Those are all ASCII, so the run ends on a
+                // char boundary and multi-byte scalars pass through whole;
+                // each byte is decoded once, keeping the parse linear.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
                     .map_err(|_| "non-utf8 string content".to_string())?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -272,6 +278,12 @@ mod tests {
             parse(r#"{"type":"forecast","id":"r1","x":[[1.5,-2e1],["NaN",0]],"mc":8}"#).unwrap();
         assert_eq!(v.get("type").and_then(Json::as_str), Some("forecast"));
         assert_eq!(v.get("mc").and_then(Json::as_u64), Some(8));
+        // 2^64 does not fit; the largest f64 below it does.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
         let x = v.get("x").and_then(Json::as_arr).unwrap();
         assert_eq!(x.len(), 2);
         assert_eq!(x[0].as_arr().unwrap()[1].as_f64(), Some(-20.0));
@@ -290,6 +302,7 @@ mod tests {
             "{\"a\" 1}",
             "nul",
             "1e999",
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
@@ -308,6 +321,20 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(parse(&escape("x\"y\nz")).unwrap().as_str(), Some("x\"y\nz"));
+    }
+
+    #[test]
+    fn long_multibyte_strings_roundtrip() {
+        // 1-, 2-, 3- and 4-byte UTF-8 scalars mixed with escapes, at lengths
+        // where a parse that re-scans the rest of the line per char crawls.
+        let unit = "a\u{e9}\u{20ac}\u{1f600}\"\\\n";
+        for reps in [1, 1_000, 10_000] {
+            let s = unit.repeat(reps);
+            let doc = format!("{{\"id\":{},\"mc\":1}}", escape(&s));
+            let v = parse(&doc).unwrap();
+            assert_eq!(v.get("id").and_then(Json::as_str), Some(s.as_str()), "{reps} reps");
+        }
+        assert_eq!(parse(r#""\u00e9\u20AC""#).unwrap().as_str(), Some("\u{e9}\u{20ac}"));
     }
 
     #[test]

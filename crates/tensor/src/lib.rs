@@ -44,7 +44,7 @@ pub mod rng;
 pub mod tape;
 pub mod tensor;
 
-pub use replay::{replay_enabled, replay_stats, with_replay_disabled, ReplayPlan};
+pub use replay::{replay_stats, with_replay_disabled, ReplayPlan};
 pub use rng::{RngState, StuqRng};
 pub use tape::{CustomOp, GradStore, NodeId, Tape};
 pub use tensor::Tensor;

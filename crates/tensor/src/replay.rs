@@ -1,14 +1,12 @@
 //! Static-schedule replay of the backward pass (DESIGN.md §14).
 //!
 //! Training re-traces a structurally identical tape every batch: same ops,
-//! same parents, same shapes — only the floats change. The level-scheduled
-//! engine ([`Tape::backward_levels`]) nevertheless re-derives the whole
-//! schedule (levels, consumer lists, edge arena, buckets) on every call,
-//! which is exactly the constant factor BENCH_PR3 measured losing to the
-//! seed's serial walk. This module compiles that schedule **once** into a
-//! [`ReplayPlan`] keyed on [`Tape::structural_sig`] and replays it on every
-//! later batch with preallocated scratch, frozen per-level chunk assignments
-//! and zero graph analysis.
+//! same parents, same shapes — only the floats change. This module derives
+//! the backward schedule (topological levels, consumer lists, edge arena,
+//! per-level chunks) **once** into a [`ReplayPlan`] keyed on
+//! [`Tape::structural_sig`] and replays it on every later batch with
+//! preallocated scratch, frozen per-level chunk assignments and zero graph
+//! analysis.
 //!
 //! On top of the frozen schedule, the compiler fuses chains of adjacent
 //! unary element-wise adjoints (negate/scale/σ′/tanh′/ReLU′/dropout-mask …)
@@ -25,15 +23,15 @@
 //! of the plan, not of the thread count, so results are identical at any
 //! `STUQ_THREADS`.
 //!
-//! Knobs: `STUQ_REPLAY=0|off|false` disables the cache process-wide;
-//! [`with_replay_disabled`] disables it for a scope on the current thread.
+//! Tests and benches compare against that oracle by wrapping a call in
+//! [`with_replay_disabled`], which makes [`Tape::backward`] run the serial
+//! walk for the scope on the current thread.
 
 use crate::tape::{GradStore, NodeId, OpKind, Tape};
 use crate::tensor::Tensor;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::OnceLock;
 use stuq_parallel::{SendPtr, StaticSchedule};
 
 /// Compiled plans kept per thread; training loops touch at most two graph
@@ -233,8 +231,7 @@ pub struct ReplayPlan {
     loss: NodeId,
     n_nodes: usize,
     /// CSR offsets into the edge-delta arena: node `id`'s slots are
-    /// `edge_off[id]..edge_off[id + 1]`, one per parent (same layout as
-    /// `backward_levels`).
+    /// `edge_off[id]..edge_off[id + 1]`, one per parent.
     edge_off: Vec<usize>,
     /// Arena slots whose parent is a `Constant` — never written, keeping the
     /// scratch all-`None` between runs without a sweep.
@@ -279,7 +276,12 @@ impl ReplayPlan {
         const UNREACHED: usize = usize::MAX;
         let n = loss + 1;
 
-        // Longest-path levels over the reverse graph (cf. backward_levels).
+        // Longest-path levels over the reverse graph: `level(loss) = 0` and
+        // `level(n)` is the longest reverse-path distance from the loss, so
+        // no node shares a level with any of its consumers and every
+        // consumer's delta is final by the time a level runs. Consumers have
+        // higher ids than their inputs, so one descending pass finalises
+        // each node's level before its inputs are bumped.
         let mut level = vec![UNREACHED; n];
         level[loss] = 0;
         let mut n_levels = 0usize;
@@ -703,21 +705,14 @@ thread_local! {
     static COMPILES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// True unless replay is switched off by `STUQ_REPLAY=0|off|false` or a
-/// surrounding [`with_replay_disabled`] scope on this thread.
-pub fn replay_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    let on = *ENV.get_or_init(|| {
-        std::env::var("STUQ_REPLAY").map_or(true, |v| {
-            let v = v.to_ascii_lowercase();
-            !(v == "0" || v == "off" || v == "false")
-        })
-    });
-    on && DISABLE_DEPTH.with(Cell::get) == 0
+/// True inside a [`with_replay_disabled`] scope on this thread.
+pub(crate) fn replay_disabled() -> bool {
+    DISABLE_DEPTH.with(Cell::get) > 0
 }
 
-/// Runs `f` with replay disabled on the current thread; [`Tape::backward`]
-/// falls back to the pre-replay engine dispatch inside the scope. Nests.
+/// Runs `f` with replay disabled on the current thread: inside the scope
+/// [`Tape::backward`] runs the [`Tape::backward_serial`] oracle, which tests
+/// and benches compare replay against. Nests.
 pub fn with_replay_disabled<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {
@@ -743,27 +738,22 @@ pub fn reset_replay_stats() {
 
 /// Drops every cached plan on the current thread (test support).
 pub fn clear_replay_cache() {
-    PLAN_CACHE.with(|c| {
-        if let Ok(mut cache) = c.try_borrow_mut() {
-            cache.clear();
-        }
-    });
+    PLAN_CACHE.with(|c| c.borrow_mut().clear());
 }
 
 /// Backward via the thread-local plan cache: reuse a matching compiled plan
 /// or compile one, run it, and keep it for the next structurally identical
 /// tape (MRU-first, capacity [`PLAN_CACHE_CAP`]).
 ///
-/// Returns `None` when the cache is unavailable — a `Custom` op's backward
-/// is re-entering `Tape::backward` while a replay holds the cache — in which
-/// case the caller falls back to the classic engines.
-pub(crate) fn cached_backward(tape: &Tape, loss: NodeId) -> Option<GradStore> {
-    let slot = PLAN_CACHE.with(|c| {
-        let mut cache = c.try_borrow_mut().ok()?;
-        let found = cache.iter().position(|p| p.matches(tape, loss)).and_then(|i| cache.remove(i));
-        Some(found)
-    })?;
-    let mut plan = match slot {
+/// The cache is borrowed only to take the plan out and to put it back, never
+/// across [`ReplayPlan::run`], so a `Custom` op whose adjoint re-enters
+/// [`Tape::backward`] finds it free.
+pub(crate) fn cached_backward(tape: &Tape, loss: NodeId) -> GradStore {
+    let found = PLAN_CACHE.with(|c| {
+        let mut cache = c.borrow_mut();
+        cache.iter().position(|p| p.matches(tape, loss)).and_then(|i| cache.remove(i))
+    });
+    let mut plan = match found {
         Some(plan) => {
             HITS.with(|c| c.set(c.get() + 1));
             if stuq_obs::summary_enabled() {
@@ -785,12 +775,9 @@ pub(crate) fn cached_backward(tape: &Tape, loss: NodeId) -> Option<GradStore> {
     };
     let store = plan.run(tape);
     PLAN_CACHE.with(|c| {
-        if let Ok(mut cache) = c.try_borrow_mut() {
-            cache.push_front(plan);
-            while cache.len() > PLAN_CACHE_CAP {
-                cache.pop_back();
-            }
-        }
+        let mut cache = c.borrow_mut();
+        cache.push_front(plan);
+        cache.truncate(PLAN_CACHE_CAP);
     });
-    Some(store)
+    store
 }

@@ -1,11 +1,13 @@
-//! Property tests for the branch-parallel backward pass (DESIGN.md §9) and
-//! the static-schedule replay engine (DESIGN.md §14).
+//! Property tests for the backward pass (DESIGN.md §9) and its
+//! static-schedule replay engine (DESIGN.md §14).
 //!
-//! The level scheduler ([`Tape::backward_levels`]) and the compiled
-//! [`ReplayPlan`] must be *bit-identical* to the serial descending-id walk
-//! ([`Tape::backward_serial`]) on any tape and any thread count — that is
-//! the contract the CI determinism gate enforces by re-running this suite at
-//! `STUQ_THREADS=1,2,4`. The tests here are hand-rolled proptest loops in
+//! The compiled [`ReplayPlan`] must be *bit-identical* to the serial
+//! descending-id walk ([`Tape::backward_serial`], the oracle) on any tape
+//! and any thread count — that is the contract the CI determinism gate
+//! enforces by re-running this suite at `STUQ_THREADS=1,2,4`. Plans are
+//! compiled and run directly, so tapes below the dispatcher's size
+//! threshold (where [`Tape::backward`] itself runs the serial walk) are
+//! covered too. The tests here are hand-rolled proptest loops in
 //! the style of the kernel suite: a seeded generator builds randomized DAG
 //! tapes (fan-out, fan-in, shared parameter slots, matmul/matmul_tb grads)
 //! and every gradient is compared bit for bit. The DAG generator draws
@@ -84,10 +86,9 @@ fn random_dag(
     (tape, loss)
 }
 
-/// Property: the level scheduler matches the serial walk bit-for-bit on
-/// randomized elementwise DAGs of many shapes and sizes (including tapes
-/// below the dispatcher's size threshold, where `backward_levels` is called
-/// directly).
+/// Property: a freshly compiled replay plan matches the serial walk
+/// bit-for-bit on randomized elementwise DAGs of many shapes and sizes
+/// (including tapes below the dispatcher's size threshold).
 #[test]
 fn random_dags_levels_match_serial_bitwise() {
     let mut rng = StuqRng::new(0x9E7E1);
@@ -98,10 +99,10 @@ fn random_dags_levels_match_serial_bitwise() {
         let n_ops = 4 + rng.uniform_usize(60);
         let (tape, loss) = random_dag(&mut rng, &mut vrng, n_ops, r, c);
         let serial = tape.backward_serial(loss);
-        let levels = tape.backward_levels(loss);
-        assert_bit_identical(&serial, &levels, &format!("case {case}"));
+        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+        assert_bit_identical(&serial, &replayed, &format!("case {case}"));
         // The public entry point must agree with both, whichever engine it
-        // picked for this tape size and pool configuration.
+        // picked for this tape size.
         let auto = tape.backward(loss);
         assert_bit_identical(&serial, &auto, &format!("case {case} (auto)"));
     }
@@ -128,14 +129,14 @@ fn diamond_fanout_shared_params_bitwise() {
     let top = tape.mul(m1, m2);
     let loss = tape.sum_all(top);
     let serial = tape.backward_serial(loss);
-    let levels = tape.backward_levels(loss);
-    assert_bit_identical(&serial, &levels, "diamond");
+    let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+    assert_bit_identical(&serial, &replayed, "diamond");
     assert_eq!(serial.len(), 2, "two parameter slots");
 }
 
 /// Property: matmul / matmul_tb adjoints (which themselves run the tiled,
 /// row-parallel kernels) are bit-identical between the two engines, on tapes
-/// large enough that [`Tape::backward`] really picks the level scheduler.
+/// large enough that [`Tape::backward`] really picks replay.
 #[test]
 fn matmul_grads_match_across_engines_bitwise() {
     let mut rng = StuqRng::new(0x3A7B);
@@ -159,8 +160,8 @@ fn matmul_grads_match_across_engines_bitwise() {
         let top = tape.add(pq, s);
         let loss = tape.mean_all(top);
         let serial = tape.backward_serial(loss);
-        let levels = tape.backward_levels(loss);
-        assert_bit_identical(&serial, &levels, &format!("matmul case {case}"));
+        let replayed = ReplayPlan::compile(&tape, loss).run(&tape);
+        assert_bit_identical(&serial, &replayed, &format!("matmul case {case}"));
         let auto = tape.backward(loss);
         assert_bit_identical(&serial, &auto, &format!("matmul case {case} (auto)"));
         // And the whole thing must be invariant under a forced-serial pool.
@@ -239,21 +240,19 @@ fn replay_plan_invalidated_on_shape_change() {
 
     // Through the public dispatcher: two structures → two compiles, then
     // alternating batches are all cache hits.
-    if stuq_tensor::replay_enabled() {
-        clear_replay_cache();
-        reset_replay_stats();
-        let a = full.backward(loss_full);
-        let b = partial.backward(loss_partial);
-        let a2 = full.backward(loss_full);
-        let b2 = partial.backward(loss_partial);
-        assert_bit_identical(&a, &a2, "full batch replayed");
-        assert_bit_identical(&b, &b2, "partial batch replayed");
-        assert_bit_identical(&full.backward_serial(loss_full), &a, "full vs serial");
-        assert_bit_identical(&partial.backward_serial(loss_partial), &b, "partial vs serial");
-        let (hits, compiles) = replay_stats();
-        assert_eq!(compiles, 2, "one compile per structure");
-        assert_eq!(hits, 2, "later batches hit the cache");
-    }
+    clear_replay_cache();
+    reset_replay_stats();
+    let a = full.backward(loss_full);
+    let b = partial.backward(loss_partial);
+    let a2 = full.backward(loss_full);
+    let b2 = partial.backward(loss_partial);
+    assert_bit_identical(&a, &a2, "full batch replayed");
+    assert_bit_identical(&b, &b2, "partial batch replayed");
+    assert_bit_identical(&full.backward_serial(loss_full), &a, "full vs serial");
+    assert_bit_identical(&partial.backward_serial(loss_partial), &b, "partial vs serial");
+    let (hits, compiles) = replay_stats();
+    assert_eq!(compiles, 2, "one compile per structure");
+    assert_eq!(hits, 2, "later batches hit the cache");
 }
 
 /// Fused-chain gradients: a tape built almost entirely from single-consumer
@@ -305,7 +304,7 @@ fn fused_chain_gradients_match_serial_bitwise() {
     assert!(plan.n_tasks() < tape.len(), "fusion must shrink the schedule");
     let serial = tape.backward_serial(loss);
     assert_bit_identical(&serial, &plan.run(&tape), "fused plan");
-    // And through the public dispatcher (replay or classic, must agree).
+    // And through the public dispatcher, which replays this tape.
     assert_bit_identical(&serial, &tape.backward(loss), "dispatcher");
 }
 
@@ -327,15 +326,16 @@ fn structural_sig_ignores_values_but_not_constants() {
     assert_ne!(a.structural_sig(), c.structural_sig(), "op constants must affect the sig");
 }
 
-/// Replay on vs. off through the public dispatcher: bit-identical, and the
-/// disable scope restores replay afterwards.
+/// Replay on vs. off through the public dispatcher: bit-identical, the
+/// disable scope touches no plan, and replay resumes after the scope.
 #[test]
 fn replay_disabled_scope_matches_enabled() {
     let (tape, loss) = random_dag(&mut StuqRng::new(0xD15), &mut StuqRng::new(3), 70, 5, 5);
+    clear_replay_cache();
+    reset_replay_stats();
+    let off = stuq_tensor::with_replay_disabled(|| tape.backward(loss));
+    assert_eq!(replay_stats(), (0, 0), "the disable scope runs the serial oracle");
     let on = tape.backward(loss);
-    let off = stuq_tensor::with_replay_disabled(|| {
-        assert!(!stuq_tensor::replay_enabled());
-        tape.backward(loss)
-    });
+    assert_eq!(replay_stats(), (0, 1), "replay resumes after the scope");
     assert_bit_identical(&on, &off, "replay on vs off");
 }
